@@ -13,6 +13,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+import numpy as np
+
+#: bytes of one :meth:`FlowKey.pack` record: 8 + 8 + 2 + 2 + 2
+PACKED_KEY_BYTES = 22
+
 
 @dataclass(frozen=True)
 class FlowKey:
@@ -53,3 +58,27 @@ def ecmp_hash(key: FlowKey, n_choices: int, salt: int = 0) -> int:
         key=salt.to_bytes(8, "little", signed=False),
     ).digest()
     return int.from_bytes(digest, "little") % n_choices
+
+
+def ecmp_digests(packed_keys: bytes, flow_idx: np.ndarray,
+                 salt: int) -> np.ndarray:
+    """The raw 64-bit :func:`ecmp_hash` digests of many flows at once.
+
+    ``packed_keys`` is every flow's :meth:`FlowKey.pack` record,
+    concatenated; ``flow_idx`` picks the records to hash.  Returns a
+    ``uint64`` array aligned with ``flow_idx`` such that
+    ``ecmp_digests(...)[j] % n == ecmp_hash(key_j, n, salt)`` for every
+    ``n >= 1`` — the same keyed blake2b, but the salt is keyed in once
+    and each flow hashes on a copy of that state, and the
+    digest-to-integer step runs once for the whole batch.
+    """
+    keyed = hashlib.blake2b(digest_size=8,
+                            key=salt.to_bytes(8, "little", signed=False))
+    copy = keyed.copy
+    size = PACKED_KEY_BYTES
+    # update() returns None, so ``or`` yields the copy's digest
+    raw = b"".join([
+        (h := copy()).update(packed_keys[f * size:(f + 1) * size])
+        or h.digest()
+        for f in flow_idx.tolist()])
+    return np.frombuffer(raw, dtype="<u8")

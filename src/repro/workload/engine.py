@@ -29,7 +29,6 @@ accounting code to it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -39,6 +38,7 @@ from repro.sim.units import MILLISECOND, SECOND
 from repro.stack.ipv4 import PROTO_UDP
 from repro.harness.metrics import nearest_rank_percentile
 from repro.harness.pathtrace import access_uplink
+from repro.routing.ecmp import PACKED_KEY_BYTES, ecmp_digests
 from repro.workload.fluid import FluidProblem, link_loads, max_min_rates
 from repro.workload.spec import WorkloadSpec
 from repro.workload.synth import FlowSet, synthesize
@@ -46,8 +46,6 @@ from repro.workload.synth import FlowSet, synthesize
 # a routing loop is a blackhole with extra steps: cap the walk like the
 # per-packet tracer does (repro.harness.pathtrace.MAX_HOPS)
 MAX_FLUID_HOPS = 32
-
-_KEY_BYTES = 22  # FlowKey.pack(): 8 + 8 + 2 + 2 + 2, little-endian
 
 
 @dataclass
@@ -174,6 +172,11 @@ class FluidWorkload:
         self._src_tor = flows.host_tor[flows.src]
         self._dst_tor = flows.host_tor[flows.dst]
         self._src_access, self._dst_access = self._access_links()
+        # (router salt, rack pair) -> (flow ids, their raw ECMP
+        # digests): a digest depends only on the flow's 5-tuple and the
+        # salt, so it outlives every route change
+        self._digest_cache: dict[tuple[int, int],
+                                 tuple[np.ndarray, np.ndarray]] = {}
 
         # per-flow running state
         self.remaining = flows.size_bytes.astype(np.float64)
@@ -246,14 +249,14 @@ class FluidWorkload:
         rec["proto"] = PROTO_UDP
         rec["sp"] = flows.src_port.astype(np.uint16)
         rec["dp"] = flows.dst_port.astype(np.uint16)
-        assert rec.itemsize == _KEY_BYTES
+        assert rec.itemsize == PACKED_KEY_BYTES
         return rec.tobytes()
 
     def _access_links(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-flow first and last directed link: source host uplink
         and destination ToR's rack-facing downlink."""
-        up_of_host = np.empty(len(self.flows.hosts), dtype=np.int64)
-        down_of_host = np.empty(len(self.flows.hosts), dtype=np.int64)
+        up_of_host = np.empty(len(self.flows.hosts), dtype=np.int32)
+        down_of_host = np.empty(len(self.flows.hosts), dtype=np.int32)
         for h, host in enumerate(self.flows.hosts):
             host_if, tor_if = access_uplink(self.topo, host)
             up_of_host[h] = self._link_id(host, host_if.name)
@@ -269,10 +272,9 @@ class FluidWorkload:
         flow->link CSR the next solve uses."""
         flows = self.flows
         n = len(flows)
-        keys = self._packed_keys
         memo: dict[tuple[str, str, Optional[str]], tuple] = {}
         blackholed = np.zeros(n, dtype=bool)
-        seg_flows: list[np.ndarray] = [np.arange(n, dtype=np.int64)]
+        seg_flows: list[np.ndarray] = [np.arange(n, dtype=np.int32)]
         seg_links: list[np.ndarray] = [self._src_access]
 
         def candidates(node: str, dst_tor: str, ingress: Optional[str]):
@@ -296,9 +298,7 @@ class FluidWorkload:
                         expanded.append((link, None, None))
                         continue
                     expanded.append((link, peer.node.name, peer.name))
-                entry = (salt.to_bytes(8, "little", signed=False)
-                         if len(expanded) > 1 else b"",
-                         spray, tuple(expanded))
+                entry = (salt, spray, tuple(expanded))
                 memo[key] = entry
             return entry
 
@@ -306,13 +306,13 @@ class FluidWorkload:
         # tree; per-flow work happens only at genuine ECMP branch points
         n_tors = len(flows.tors)
         pair = self._src_tor.astype(np.int64) * n_tors + self._dst_tor
-        order = np.argsort(pair, kind="stable")
+        order = np.argsort(pair, kind="stable").astype(np.int32)
         boundaries = np.flatnonzero(np.diff(pair[order])) + 1
         groups = np.split(order, boundaries)
-        blake2b = hashlib.blake2b
 
         for group in groups:
             f0 = int(group[0])
+            group_pair = int(pair[f0])
             src_tor = flows.tors[int(self._src_tor[f0])]
             dst_tor = flows.tors[int(self._dst_tor[f0])]
             if src_tor == dst_tor:
@@ -325,8 +325,7 @@ class FluidWorkload:
                 if depth >= MAX_FLUID_HOPS:
                     blackholed[idx] = True  # routing loop
                     continue
-                salt_bytes, spray, entries = candidates(node, dst_tor,
-                                                        ingress)
+                salt, spray, entries = candidates(node, dst_tor, ingress)
                 if not entries:
                     blackholed[idx] = True  # no candidate port at all
                     continue
@@ -338,15 +337,11 @@ class FluidWorkload:
                     choice = idx % len(entries)
                     parts = [idx[choice == c] for c in range(len(entries))]
                 else:
-                    # the genuine keyed ECMP hash, per flow — identical
-                    # index arithmetic to repro.routing.ecmp.ecmp_hash
+                    # the genuine keyed ECMP hash: the cached raw digest
+                    # taken modulo *today's* candidate count
                     m = len(entries)
-                    out = np.empty(len(idx), dtype=np.int64)
-                    for j, f in enumerate(idx.tolist()):
-                        digest = blake2b(
-                            keys[f * _KEY_BYTES:(f + 1) * _KEY_BYTES],
-                            digest_size=8, key=salt_bytes).digest()
-                        out[j] = int.from_bytes(digest, "little") % m
+                    out = self._digests(salt, group_pair, idx) \
+                        % np.uint64(m)
                     parts = [idx[out == c] for c in range(m)]
                 for entry, part in zip(entries, parts):
                     if len(part) == 0:
@@ -355,7 +350,7 @@ class FluidWorkload:
                     if link is not None:
                         seg_flows.append(part)
                         seg_links.append(np.full(len(part), link,
-                                                 dtype=np.int64))
+                                                 dtype=np.int32))
                     if peer_node is None:
                         blackholed[part] = True
                     else:
@@ -371,7 +366,7 @@ class FluidWorkload:
         csr_order = np.argsort(rep_flow, kind="stable")
         flow_links = rep_link[csr_order]
         counts = np.bincount(rep_flow, minlength=n)
-        flow_ptr = np.zeros(n + 1, dtype=np.int64)
+        flow_ptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(counts, out=flow_ptr[1:])
 
         self._problem = FluidProblem(
@@ -392,6 +387,21 @@ class FluidWorkload:
             # every forwarding-state capture is an invariant-check
             # instant: the monitor sees exactly the states flows ride
             self.monitor.check()
+
+    def _digests(self, salt: int, pair: int,
+                 idx: np.ndarray) -> np.ndarray:
+        """Raw ECMP digests (``uint64``, aligned with ``idx``) of the
+        flows ``idx`` of rack pair ``pair`` at a router hashing with
+        ``salt``.  The ``(salt, pair)`` cache entry is reused only when
+        the same flow ids reach the branch point again; any other set
+        is hashed afresh and replaces the entry."""
+        key = (salt, pair)
+        entry = self._digest_cache.get(key)
+        if entry is not None and np.array_equal(entry[0], idx):
+            return entry[1]
+        digests = ecmp_digests(self._packed_keys, idx, salt)
+        self._digest_cache[key] = (idx, digests)
+        return digests
 
     def _forwarding_marks(self):
         """Current forwarding-state version.  Prefers the deployment's

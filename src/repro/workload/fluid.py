@@ -35,9 +35,9 @@ def _multi_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(start, start+length)`` ranges, vectorized."""
     total = int(lengths.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths,
+        return np.empty(0, dtype=np.int32)
+    ends = np.cumsum(lengths, dtype=np.int32)
+    within = np.arange(total, dtype=np.int32) - np.repeat(ends - lengths,
                                                           lengths)
     return np.repeat(starts, lengths) + within
 
@@ -47,8 +47,8 @@ class FluidProblem:
     """One solve's inputs: link capacities plus flow->link CSR."""
 
     capacity: np.ndarray    # float64 [L], bytes/sec
-    flow_links: np.ndarray  # int64 concatenated link ids, flow-major
-    flow_ptr: np.ndarray    # int64 [F+1] CSR offsets into flow_links
+    flow_links: np.ndarray  # int32 concatenated link ids, flow-major
+    flow_ptr: np.ndarray    # int32 [F+1] CSR offsets into flow_links
 
     @property
     def n_flows(self) -> int:
@@ -78,12 +78,15 @@ def max_min_rates(problem: FluidProblem,
         active = np.ones(n_flows, dtype=bool)
     live = active & (lengths > 0)
 
-    # link -> flows CSR (only live flows participate)
+    # link -> flows CSR (only live flows participate); link ids sort as
+    # the narrowest unsigned type that holds them, which puts the
+    # stable argsort on numpy's radix path (<= 16-bit keys)
     live_entry = np.repeat(live, lengths)
-    entry_flow = np.repeat(np.arange(n_flows, dtype=np.int64), lengths)
+    entry_flow = np.repeat(np.arange(n_flows, dtype=np.int32), lengths)
     links_live = flow_links[live_entry]
     flows_live = entry_flow[live_entry]
-    order = np.argsort(links_live, kind="stable")
+    order = np.argsort(links_live.astype(np.min_scalar_type(n_links - 1)),
+                       kind="stable")
     link_flows = flows_live[order]
     counts = np.bincount(links_live, minlength=n_links).astype(np.int64)
     link_ptr = np.zeros(n_links + 1, dtype=np.int64)
@@ -92,6 +95,7 @@ def max_min_rates(problem: FluidProblem,
     remaining = problem.capacity.astype(np.float64).copy()
     unfrozen = counts.copy()   # live, not-yet-frozen flows per link
     frozen = ~live             # inactive flows count as already frozen
+    marked = np.zeros(n_flows, dtype=bool)  # scratch: this round's freezes
 
     for _ in range(n_links + 1):
         eligible = unfrozen > 0
@@ -106,7 +110,10 @@ def max_min_rates(problem: FluidProblem,
         # flows riding any bottleneck link freeze at the water level
         cand = link_flows[_multi_arange(link_ptr[bottleneck],
                                         counts[bottleneck])]
-        newly = np.unique(cand[~frozen[cand]])
+        # the sorted distinct unfrozen candidates, by mark-and-scan
+        marked[cand[~frozen[cand]]] = True
+        newly = np.flatnonzero(marked)
+        marked[newly] = False
         if len(newly) == 0:
             break  # numerically stuck: everything left is frozen
         frozen[newly] = True

@@ -123,3 +123,90 @@ def test_waterfall_invariants_hypothesis(data):
     loads = link_loads(prob, rate)
     cap = np.asarray(capacity)
     assert (loads <= cap * (1 + 1e-6) + 1e-9).all()
+
+
+# ----------------------------------------------------------------------
+# the vectorized solver against a frozen copy of its earlier form
+# (int64 timsort link->flow order, np.unique freeze set): the narrowed
+# index arrays and the radix/mark-and-scan steps must not move a bit
+# ----------------------------------------------------------------------
+def _reference_multi_arange(starts, lengths):
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    within = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths,
+                                                          lengths)
+    return np.repeat(starts, lengths) + within
+
+
+def _reference_max_min_rates(problem, active=None):
+    n_flows, n_links = problem.n_flows, problem.n_links
+    rate = np.zeros(n_flows, dtype=np.float64)
+    if n_flows == 0 or n_links == 0:
+        return rate
+    flow_ptr = problem.flow_ptr.astype(np.int64)
+    flow_links = problem.flow_links.astype(np.int64)
+    lengths = np.diff(flow_ptr)
+    if active is None:
+        active = np.ones(n_flows, dtype=bool)
+    live = active & (lengths > 0)
+    live_entry = np.repeat(live, lengths)
+    entry_flow = np.repeat(np.arange(n_flows, dtype=np.int64), lengths)
+    links_live = flow_links[live_entry]
+    flows_live = entry_flow[live_entry]
+    order = np.argsort(links_live, kind="stable")
+    link_flows = flows_live[order]
+    counts = np.bincount(links_live, minlength=n_links).astype(np.int64)
+    link_ptr = np.zeros(n_links + 1, dtype=np.int64)
+    np.cumsum(counts, out=link_ptr[1:])
+    remaining = problem.capacity.astype(np.float64).copy()
+    unfrozen = counts.copy()
+    frozen = ~live
+    for _ in range(n_links + 1):
+        eligible = unfrozen > 0
+        if not eligible.any():
+            break
+        share = np.full(n_links, np.inf)
+        share[eligible] = np.maximum(remaining[eligible], 0.0) \
+            / unfrozen[eligible]
+        level = share.min()
+        bottleneck = np.flatnonzero(eligible & (share <= level + 1e-9
+                                                + 1e-9 * level))
+        cand = link_flows[_reference_multi_arange(link_ptr[bottleneck],
+                                                  counts[bottleneck])]
+        newly = np.unique(cand[~frozen[cand]])
+        if len(newly) == 0:
+            break
+        frozen[newly] = True
+        rate[newly] = level
+        entries = flow_links[_reference_multi_arange(flow_ptr[newly],
+                                                     lengths[newly])]
+        np.subtract.at(remaining, entries, level)
+        unfrozen -= np.bincount(entries, minlength=n_links)
+    np.clip(rate, 0.0, None, out=rate)
+    rate[~live] = 0.0
+    return rate
+
+
+@pytest.mark.parametrize("index_dtype", [np.int64, np.int32])
+def test_solver_bit_identical_to_reference_random(index_dtype):
+    rng = np.random.default_rng(2024)
+    for trial in range(40):
+        n_links = int(rng.integers(1, 300 if trial % 4 == 0 else 16))
+        # integer capacities make exact ties (shared water levels) common
+        capacity = (rng.integers(0, 20, size=n_links).astype(np.float64)
+                    if trial % 2 else rng.uniform(0.0, 100.0, n_links))
+        n_flows = int(rng.integers(0, 400))
+        paths = [rng.choice(n_links, size=int(rng.integers(
+                     0, min(6, n_links) + 1)), replace=False)
+                 for _ in range(n_flows)]
+        prob = problem(capacity, paths)
+        prob = FluidProblem(capacity=prob.capacity,
+                            flow_links=prob.flow_links.astype(index_dtype),
+                            flow_ptr=prob.flow_ptr.astype(index_dtype))
+        active = rng.random(n_flows) < 0.85
+        for mask in (None, active):
+            got = max_min_rates(prob, mask)
+            want = _reference_max_min_rates(prob, mask)
+            assert got.tobytes() == want.tobytes(), f"trial {trial}"
