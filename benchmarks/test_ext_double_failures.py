@@ -21,7 +21,7 @@ from repro.topology.clos import TIER_SERVER, two_pod_params
 from repro.harness.experiments import StackKind, build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.harness.oracle import compare_with_oracle
-from repro.harness.parallel import execute_tasks
+from repro.harness.parallel import TaskKind, execute_tasks
 
 from conftest import emit
 
@@ -37,7 +37,7 @@ def fabric_links(topo):
 
 
 def _pair_task(spec):
-    """One double-cut combination (top-level: picklable for the pool)."""
+    """One double-cut combination (top-level: worker processes run it)."""
     kind, settle_us, link_i, link_j = spec
     world, topo, dep = build_and_converge(two_pod_params(), kind,
                                           trace_enabled=False)
@@ -54,7 +54,7 @@ def run_sweep(kind: StackKind, settle_us: int, jobs: int = 1):
     links = fabric_links(topo0)
     combos = list(itertools.combinations(range(len(links)), 2))
     specs = [(kind, settle_us, links[i], links[j]) for i, j in combos]
-    per_pair = execute_tasks(specs, _pair_task, jobs=jobs)
+    per_pair = execute_tasks(specs, TaskKind(_pair_task), jobs=jobs)
     disagreements = [d for pair in per_pair for d in pair]
     return len(combos), disagreements
 

@@ -18,7 +18,7 @@ import time
 from repro.topology.clos import two_pod_params
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import StackKind
-from repro.harness.parallel import FanoutReport
+from repro.harness.parallel import CampaignReport
 from repro.harness.sweep import single_failure_sweep_outcomes, summarize
 
 from conftest import emit
@@ -40,7 +40,7 @@ def test_ext_parallel_sweep_identical_and_timed(benchmark, results_dir,
         fanned, t_fanned = _timed_sweep(jobs=4)
         cache = ResultCache(tmp_path / "cache")
         _timed_sweep(jobs=4, cache=cache)  # populate
-        replay_report = FanoutReport()
+        replay_report = CampaignReport()
         replayed, t_replay = _timed_sweep(jobs=4, cache=cache,
                                           report=replay_report)
         return (serial, t_serial, fanned, t_fanned, replayed, t_replay,

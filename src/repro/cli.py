@@ -64,11 +64,10 @@ from repro.harness.experiments import (
     run_failure_experiment,
     run_packet_loss_experiment,
 )
-from repro.harness.parallel import FanoutInterrupted, FanoutReport
-from repro.harness.supervisor import (
+from repro.harness.parallel import (
+    CampaignInterrupted,
+    CampaignReport,
     RetryPolicy,
-    SupervisorInterrupted,
-    SupervisorReport,
 )
 
 # exit codes: experiment findings (regressions) and infra failures
@@ -132,16 +131,16 @@ def _add_fanout_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_supervisor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--supervise", action="store_true",
-                        help="run tasks under the fault-tolerant "
-                             "supervisor: per-task watchdog, seeded "
+                        help="run tasks supervised in worker processes: "
+                             "per-task watchdog, seeded "
                              "retry-with-backoff, quarantine")
     parser.add_argument("--task-deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="per-task wall-clock deadline; hung workers "
                              "are killed and retried (implies --supervise)")
-    parser.add_argument("--max-attempts", type=int, default=3,
+    parser.add_argument("--max-attempts", type=int, default=None,
                         help="attempts per task before quarantine "
-                             "(supervised runs)")
+                             "(default 3; implies --supervise)")
     parser.add_argument("--resume", action="store_true",
                         help="resume an interrupted campaign: replay "
                              "checkpointed tasks from the result cache, "
@@ -166,14 +165,17 @@ def _cache_from(args):
     return ResultCache(args.cache_dir)
 
 
-def _supervision_from(args):
-    """(RetryPolicy, SupervisorReport) when supervision was requested,
-    else (None, None) — the plain fan-out path."""
-    if not (args.supervise or args.task_deadline is not None):
-        return None, None
-    policy = RetryPolicy(deadline_s=args.task_deadline,
-                         max_attempts=args.max_attempts, seed=args.seed)
-    return policy, SupervisorReport()
+def _policy_from(args):
+    """The RetryPolicy when supervision was requested — by --supervise,
+    --task-deadline or --max-attempts — else None (the plain fan-out)."""
+    if not (args.supervise or args.task_deadline is not None
+            or args.max_attempts is not None):
+        return None
+    return RetryPolicy(deadline_s=args.task_deadline,
+                       max_attempts=(args.max_attempts
+                                     if args.max_attempts is not None
+                                     else 3),
+                       seed=args.seed)
 
 
 def _check_resume(args, cache) -> bool:
@@ -185,7 +187,7 @@ def _check_resume(args, cache) -> bool:
     return True
 
 
-def _campaign_epilogue(args, report, records) -> int:
+def _campaign_epilogue(args, report) -> int:
     """Shared tail of every campaign command: resume accounting, the
     quarantine table, and the infra exit code (EXIT_OK when nothing was
     quarantined)."""
@@ -194,11 +196,10 @@ def _campaign_epilogue(args, report, records) -> int:
     if args.resume:
         print(f"resume: {report.cached}/{report.total} task(s) replayed "
               f"from checkpoint, {report.executed} executed")
-    quarantined = [r for r in records if r.state == "quarantined"]
-    if quarantined:
+    if report.quarantined:
         print()
-        print(render_quarantine_table(records))
-        print(f"\n{len(quarantined)} task(s) quarantined — infra failure, "
+        print(render_quarantine_table(report.records))
+        print(f"\n{len(report.quarantined)} task(s) quarantined — infra failure, "
               f"not an experiment finding (exit {EXIT_INFRA})",
               file=sys.stderr)
         return EXIT_INFRA
@@ -402,7 +403,7 @@ def cmd_fail(args) -> int:
         print(f"  blast radius     : {result.blast_radius} routers "
               f"({', '.join(result.blast_routers)})")
         return 0
-    report = FanoutReport()
+    report = CampaignReport()
     results = run_experiment_batch(
         _params(args), args.stack, args.case, n_runs=args.runs,
         base_seed=args.seed, jobs=args.jobs, cache=_cache_from(args),
@@ -426,41 +427,37 @@ def cmd_sweep(args) -> int:
         summarize,
     )
 
-    policy, sup = _supervision_from(args)
     cache = _cache_from(args)
     if not _check_resume(args, cache):
         return EXIT_USAGE
-    report = sup.fanout if sup is not None else FanoutReport()
+    report = CampaignReport()
     t0 = time.perf_counter()
     outcomes = single_failure_sweep_outcomes(
         _params(args), args.stack, seed=args.seed,
         ambient_loss=args.ambient_loss,
         workload=_workload_from(args), jobs=args.jobs,
-        cache=cache, report=None if sup is not None else report,
-        policy=policy, supervisor=sup,
+        cache=cache, policy=_policy_from(args), report=report,
     )
     elapsed = time.perf_counter() - t0
     results = [o.result for o in outcomes if o is not None]
-    describe = sup.describe() if sup is not None else report.describe()
     print(summarize(results))
-    print(f"fan-out: {describe}, {elapsed:.2f} s wall clock")
+    print(f"fan-out: {report.describe()}, {elapsed:.2f} s wall clock")
     if args.digests:
         for o in outcomes:
             if o is None:
                 continue
             p = o.result.point
             print(f"  {o.digest[:16]}  {p.node}:{p.interface}")
-    records = sup.records if sup is not None else []
-    infra = _campaign_epilogue(args, report, records)
+    infra = _campaign_epilogue(args, report)
     if args.report:
-        _write_sweep_report(args.report, results, records, describe)
+        _write_sweep_report(args.report, results, report)
     if infra != EXIT_OK:
         return infra
     bad = [r for r in results if not r.ok]
     return EXIT_FINDINGS if bad else EXIT_OK
 
 
-def _write_sweep_report(prefix: str, results, records, describe: str) -> None:
+def _write_sweep_report(prefix: str, results, report) -> None:
     """``--report PREFIX``: the sweep summary plus the quarantine table,
     as PREFIX.txt and PREFIX.html."""
     from pathlib import Path
@@ -473,6 +470,7 @@ def _write_sweep_report(prefix: str, results, records, describe: str) -> None:
     )
     from repro.harness.sweep import summarize
 
+    records, describe = report.records, report.describe()
     text = summarize(results)
     qtable = render_quarantine_table(records)
     text += "\n\n" + (qtable if qtable else "quarantined tasks: none")
@@ -551,26 +549,23 @@ def cmd_scenario(args) -> int:
 
     scenarios = _load_scenarios(args)
     stacks = args.stack or list(available_stacks())
-    policy, sup = _supervision_from(args)
     cache = _cache_from(args)
     if not _check_resume(args, cache):
         return EXIT_USAGE
-    report = sup.fanout if sup is not None else FanoutReport()
+    report = CampaignReport()
     t0 = time.perf_counter()
     outcomes = run_scenario_suite(
         _params(args), scenarios, stacks, seed=args.seed, jobs=args.jobs,
-        cache=cache, report=None if sup is not None else report,
-        policy=policy, supervisor=sup, invariants=args.invariants,
+        cache=cache, policy=_policy_from(args), report=report,
+        invariants=args.invariants,
     )
     elapsed = time.perf_counter() - t0
-    describe = sup.describe() if sup is not None else report.describe()
     if args.json:
         print(json.dumps({
             "runs": [encode_scenario_outcome(o) for o in outcomes
                      if o is not None],
         }, indent=2, sort_keys=True))
-        return _campaign_epilogue(args, report,
-                                  sup.records if sup is not None else [])
+        return _campaign_epilogue(args, report)
     for outcome in outcomes:
         if outcome is None:
             continue
@@ -589,10 +584,9 @@ def cmd_scenario(args) -> int:
         if args.digests:
             line = f"{outcome.digest[:16]}  {line}"
         print(line)
-    print(f"{len(outcomes)} scenario runs ({describe}), "
+    print(f"{len(outcomes)} scenario runs ({report.describe()}), "
           f"{elapsed:.2f} s wall clock")
-    return _campaign_epilogue(args, report,
-                              sup.records if sup is not None else [])
+    return _campaign_epilogue(args, report)
 
 
 def cmd_chaos(args) -> int:
@@ -607,23 +601,20 @@ def cmd_chaos(args) -> int:
 
     stacks = args.stack or ["mtp", "bgp-bfd"]
     rates = args.rate if args.rate is not None else list(DEFAULT_RATES)
-    policy, sup = _supervision_from(args)
     cache = _cache_from(args)
     if not _check_resume(args, cache):
         return EXIT_USAGE
-    report = sup.fanout if sup is not None else FanoutReport()
+    report = CampaignReport()
     t0 = time.perf_counter()
     outcomes = run_chaos_suite(
         _params(args), stacks, rates=rates, seed=args.seed,
         window_ms=args.window_ms, traffic_pps=args.pps,
         traffic_count=args.count, workload=_workload_from(args),
-        jobs=args.jobs, cache=cache,
-        report=None if sup is not None else report,
-        policy=policy, supervisor=sup,
+        jobs=args.jobs, cache=cache, policy=_policy_from(args),
+        report=report,
     )
     elapsed = time.perf_counter() - t0
     results = [o.result for o in outcomes if o is not None]
-    describe = sup.describe() if sup is not None else report.describe()
     if args.json:
         print(json.dumps({
             "points": [encode_chaos_outcome(o) for o in outcomes
@@ -632,7 +623,7 @@ def cmd_chaos(args) -> int:
         }, indent=2, sort_keys=True))
     else:
         print(summarize(results))
-        print(f"\n{len(outcomes)} chaos points ({describe}), "
+        print(f"\n{len(outcomes)} chaos points ({report.describe()}), "
               f"{elapsed:.2f} s wall clock")
         if args.digests:
             for o in outcomes:
@@ -640,8 +631,7 @@ def cmd_chaos(args) -> int:
                     continue
                 print(f"  {o.digest[:16]}  {o.result.stack} "
                       f"loss={o.result.loss:.2f}")
-    infra = _campaign_epilogue(args, report,
-                               sup.records if sup is not None else [])
+    infra = _campaign_epilogue(args, report)
     if infra != EXIT_OK:
         return infra
     violations = clean_fabric_violations(results)
@@ -679,16 +669,14 @@ def cmd_load(args) -> int:
     workloads = ([wl] if wl is not None
                  else list(canonical_workloads().values()))
     stacks = args.stack or ["mtp", "bgp-bfd"]
-    policy, sup = _supervision_from(args)
     cache = _cache_from(args)
     if not _check_resume(args, cache):
         return EXIT_USAGE
-    report = sup.fanout if sup is not None else FanoutReport()
+    report = CampaignReport()
     t0 = time.perf_counter()
     outcomes = run_workload_suite(
         _params(args), workloads, stacks, seed=args.seed, jobs=args.jobs,
-        cache=cache, report=None if sup is not None else report,
-        policy=policy, supervisor=sup,
+        cache=cache, policy=_policy_from(args), report=report,
     )
     elapsed = time.perf_counter() - t0
     bad_conservation = False
@@ -713,11 +701,9 @@ def cmd_load(args) -> int:
             print(f"error: {r.workload}: byte conservation violated "
                   f"(error {r.max_conservation_error:.2e})",
                   file=sys.stderr)
-    describe = sup.describe() if sup is not None else report.describe()
-    print(f"{len(outcomes)} loaded runs ({describe}), "
+    print(f"{len(outcomes)} loaded runs ({report.describe()}), "
           f"{elapsed:.2f} s wall clock")
-    infra = _campaign_epilogue(args, report,
-                               sup.records if sup is not None else [])
+    infra = _campaign_epilogue(args, report)
     if infra != EXIT_OK:
         return infra
     return EXIT_FINDINGS if bad_conservation else EXIT_OK
@@ -965,7 +951,7 @@ def main(argv=None) -> int:
         # are user input, not bugs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FanoutInterrupted, SupervisorInterrupted) as exc:
+    except CampaignInterrupted as exc:
         # completed tasks were checkpointed (when the cache is on) —
         # nothing already computed needs recomputing
         print(f"\ninterrupted: {exc.done}/{exc.total} task(s) finished, "

@@ -41,8 +41,10 @@ from repro.stacks import (
 from repro.harness.cache import ResultCache, default_cache_root, task_key
 from repro.harness.digest import run_digest, stable_seed, trace_digest
 from repro.harness.parallel import (
+    CampaignReport,
     DeterminismError,
-    FanoutReport,
+    RetryPolicy,
+    TaskKind,
     assert_fanout_deterministic,
     execute_tasks,
     resolve_jobs,
@@ -80,8 +82,10 @@ __all__ = [
     "run_digest",
     "stable_seed",
     "trace_digest",
+    "CampaignReport",
     "DeterminismError",
-    "FanoutReport",
+    "RetryPolicy",
+    "TaskKind",
     "assert_fanout_deterministic",
     "execute_tasks",
     "resolve_jobs",

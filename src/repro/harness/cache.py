@@ -142,13 +142,6 @@ class ResultCache:
                 pass
             raise
 
-    def checkpointed(self, keys: Any) -> int:
-        """How many of ``keys`` already have an entry on disk — the
-        resume preview a ``--resume`` run prints before executing (a
-        corrupt entry still counts here; it is dropped at ``get`` time
-        and the task recomputes)."""
-        return sum(1 for key in keys if key in self)
-
     # ------------------------------------------------------------------
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

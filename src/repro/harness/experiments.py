@@ -36,6 +36,7 @@ from repro.harness.metrics import (
     keepalive_overhead,
     snapshot_table_change_counts,
 )
+from repro.harness.parallel import TaskKind, execute_tasks
 from repro.harness.pathtrace import find_crossing_flow
 from repro.net.capture import Capture
 from repro.traffic.generator import ReceiverAnalyzer, TrafficSender
@@ -214,7 +215,7 @@ class ExperimentOutcome:
 
 
 def run_experiment_task(spec: ExperimentSpec) -> ExperimentOutcome:
-    """The parallel worker (top-level so the process pool can pickle it)."""
+    """The campaign worker (top-level so worker processes can run it)."""
     from repro.harness.digest import run_digest
 
     result, world = run_failure_experiment(
@@ -271,6 +272,17 @@ def decode_experiment_outcome(payload: dict) -> ExperimentOutcome:
     return ExperimentOutcome(result=result, digest=payload["digest"])
 
 
+def experiment_task_label(spec: ExperimentSpec) -> str:
+    """Human task label for task records and quarantine tables."""
+    return f"{spec.stack.name} {spec.case_name} seed={spec.seed}"
+
+
+EXPERIMENT_TASK = TaskKind(
+    worker=run_experiment_task, key=experiment_task_key,
+    encode=encode_experiment_outcome, decode=decode_experiment_outcome,
+    label=experiment_task_label)
+
+
 def run_experiment_batch(
     params,
     stack,
@@ -292,7 +304,6 @@ def run_experiment_batch(
     seeds identical across processes and interpreter restarts.
     """
     from repro.harness.digest import stable_seed
-    from repro.harness.parallel import execute_tasks
 
     spec = resolve_spec(stack, timers)
     if seeds is None:
@@ -306,11 +317,8 @@ def run_experiment_batch(
                        seed=seed)
         for seed in seeds
     ]
-    outcomes = execute_tasks(
-        specs, run_experiment_task, jobs=jobs, cache=cache,
-        key_fn=experiment_task_key, encode=encode_experiment_outcome,
-        decode=decode_experiment_outcome, report=report,
-    )
+    outcomes = execute_tasks(specs, EXPERIMENT_TASK, jobs=jobs,
+                             cache=cache, report=report)
     return [o.result for o in outcomes]
 
 

@@ -35,13 +35,13 @@ from repro.harness.cache import ResultCache, task_key
 from repro.harness.digest import run_digest
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
-from repro.harness.parallel import FanoutReport, execute_tasks
-from repro.harness.pathtrace import trace_path
-from repro.harness.supervisor import (
+from repro.harness.parallel import (
+    CampaignReport,
     RetryPolicy,
-    SupervisorReport,
-    supervise_tasks,
+    TaskKind,
+    execute_tasks,
 )
+from repro.harness.pathtrace import trace_path
 from repro.workload.engine import FluidWorkload
 from repro.workload.spec import resolve_workload
 
@@ -141,8 +141,8 @@ def check_all_pairs(
 
 
 # ----------------------------------------------------------------------
-# one sweep point = one task (the parallel worker; must stay top-level
-# so ProcessPoolExecutor can pickle it)
+# one sweep point = one task (the campaign worker; must stay top-level
+# so worker processes can run it)
 # ----------------------------------------------------------------------
 def run_sweep_point(spec: SweepPointSpec) -> SweepOutcome:
     """Build a fresh world, fail one interface, verify all-pairs
@@ -257,9 +257,15 @@ def sweep_specs(
 
 
 def sweep_point_label(spec: SweepPointSpec) -> str:
-    """Human task label for supervisor records and quarantine tables."""
+    """Human task label for task records and quarantine tables."""
     return (f"{spec.stack.name} {spec.point.node}:{spec.point.interface} "
             f"seed={spec.seed}")
+
+
+SWEEP_POINT = TaskKind(
+    worker=run_sweep_point, key=sweep_point_key,
+    encode=encode_sweep_outcome, decode=decode_sweep_outcome,
+    label=sweep_point_label)
 
 
 def single_failure_sweep_outcomes(
@@ -273,33 +279,21 @@ def single_failure_sweep_outcomes(
     workload: Optional[Any] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    report: Optional[FanoutReport] = None,
     policy: Optional[RetryPolicy] = None,
-    supervisor: Optional[SupervisorReport] = None,
+    report: Optional[CampaignReport] = None,
 ) -> list[Optional[SweepOutcome]]:
     """The sweep with digests: fan out over ``jobs`` worker processes,
     replaying already-converged points from ``cache`` when given.
 
-    With a ``policy`` (or an attached ``supervisor`` report) the sweep
-    runs under :mod:`repro.harness.supervisor`: hung points are killed
-    by the watchdog, failing points retry with backoff, and a point that
-    exhausts its attempts is quarantined — its slot comes back ``None``
-    and the rest of the sweep still completes.
+    With a ``policy`` hung points are killed by the watchdog, failing
+    points retry with backoff, and a point that exhausts its attempts is
+    quarantined — its slot comes back ``None`` and the rest of the sweep
+    still completes.
     """
     specs = sweep_specs(params, stack, seed, timers, points,
                         reconverge_margin_us, ambient_loss, workload)
-    if policy is not None or supervisor is not None:
-        return supervise_tasks(
-            specs, run_sweep_point, jobs=jobs, policy=policy, cache=cache,
-            key_fn=sweep_point_key, encode=encode_sweep_outcome,
-            decode=decode_sweep_outcome, label_fn=sweep_point_label,
-            report=supervisor,
-        )
-    return execute_tasks(
-        specs, run_sweep_point, jobs=jobs, cache=cache,
-        key_fn=sweep_point_key, encode=encode_sweep_outcome,
-        decode=decode_sweep_outcome, report=report,
-    )
+    return execute_tasks(specs, SWEEP_POINT, jobs=jobs, cache=cache,
+                         policy=policy, report=report)
 
 
 def single_failure_sweep(

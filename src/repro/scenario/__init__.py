@@ -24,6 +24,7 @@ from repro.scenario.compiler import (
     compile_scenario,
 )
 from repro.scenario.runner import (
+    SCENARIO_RUN,
     ScenarioOutcome,
     ScenarioRunSpec,
     decode_scenario_outcome,
@@ -44,6 +45,7 @@ __all__ = [
     "CANONICAL",
     "Checkpoint",
     "CompiledScenario",
+    "SCENARIO_RUN",
     "SCENARIO_SCHEMA",
     "Scenario",
     "ScenarioError",

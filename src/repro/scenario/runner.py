@@ -19,11 +19,11 @@ from repro.stacks import StackSpec, StackTimers, resolve_spec
 from repro.harness.cache import ResultCache, task_key
 from repro.harness.digest import run_digest
 from repro.harness.experiments import build_and_converge
-from repro.harness.parallel import FanoutReport, execute_tasks
-from repro.harness.supervisor import (
+from repro.harness.parallel import (
+    CampaignReport,
     RetryPolicy,
-    SupervisorReport,
-    supervise_tasks,
+    TaskKind,
+    execute_tasks,
 )
 from repro.scenario.compiler import (
     Checkpoint,
@@ -80,7 +80,7 @@ def run_scenario(
 
 
 def run_scenario_task(spec: ScenarioRunSpec) -> ScenarioOutcome:
-    """The parallel worker (top-level so the process pool can pickle it)."""
+    """The campaign worker (top-level so worker processes can run it)."""
     metrics, world = run_scenario(spec.scenario, spec.params, spec.stack,
                                   spec.seed, return_world=True,
                                   invariants=spec.invariants)
@@ -203,8 +203,14 @@ def scenario_suite_specs(
 
 
 def scenario_task_label(spec: ScenarioRunSpec) -> str:
-    """Human task label for supervisor records and quarantine tables."""
+    """Human task label for task records and quarantine tables."""
     return (f"{spec.stack.name}/{spec.scenario.name} seed={spec.seed}")
+
+
+SCENARIO_RUN = TaskKind(
+    worker=run_scenario_task, key=scenario_task_key,
+    encode=encode_scenario_outcome, decode=decode_scenario_outcome,
+    label=scenario_task_label)
 
 
 def run_scenario_suite(
@@ -215,30 +221,15 @@ def run_scenario_suite(
     timers: Optional[StackTimers] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    report: Optional[FanoutReport] = None,
     policy: Optional[RetryPolicy] = None,
-    supervisor: Optional[SupervisorReport] = None,
+    report: Optional[CampaignReport] = None,
     invariants: bool = False,
 ) -> list[Optional[ScenarioOutcome]]:
     """Run every scenario on every stack, fanned out over ``jobs``
-    workers and replayed from ``cache`` when given.
-
-    With a ``policy`` (or ``supervisor`` report) the suite runs under
-    the fault-tolerant supervisor: quarantined runs come back ``None``,
-    the rest of the suite completes.
-    """
+    workers and replayed from ``cache`` when given.  With a ``policy``
+    quarantined runs come back ``None`` and the rest of the suite
+    completes."""
     specs = scenario_suite_specs(params, scenarios, stacks, seed, timers,
                                  invariants=invariants)
-    if policy is not None or supervisor is not None:
-        return supervise_tasks(
-            specs, run_scenario_task, jobs=jobs, policy=policy,
-            cache=cache, key_fn=scenario_task_key,
-            encode=encode_scenario_outcome,
-            decode=decode_scenario_outcome, label_fn=scenario_task_label,
-            report=supervisor,
-        )
-    return execute_tasks(
-        specs, run_scenario_task, jobs=jobs, cache=cache,
-        key_fn=scenario_task_key, encode=encode_scenario_outcome,
-        decode=decode_scenario_outcome, report=report,
-    )
+    return execute_tasks(specs, SCENARIO_RUN, jobs=jobs, cache=cache,
+                         policy=policy, report=report)

@@ -34,6 +34,7 @@ from repro.workload.synth import FlowSet, synthesize
 from repro.workload.fluid import FluidProblem, link_loads, max_min_rates
 from repro.workload.engine import EpochRecord, FluidWorkload, WorkloadReport
 from repro.workload.runner import (
+    WORKLOAD_RUN,
     WorkloadOutcome,
     WorkloadRunSpec,
     decode_workload_outcome,
@@ -54,6 +55,7 @@ __all__ = [
     "MATRIX_KINDS",
     "PERMUTATION",
     "UNIFORM",
+    "WORKLOAD_RUN",
     "WORKLOAD_SCHEMA",
     "WorkloadError",
     "WorkloadSpec",

@@ -1,8 +1,8 @@
 """Standalone workload runs: build, converge, load, solve — cached.
 
 One workload x topology x stack x seed is an independent, picklable
-task (:class:`WorkloadRunSpec`) that flows through the same fan-out /
-cache / supervisor machinery as sweeps and scenario suites: serial and
+task (:class:`WorkloadRunSpec`) that flows through the same executor
+and cache as sweeps and scenario suites: serial and
 ``--jobs N`` executions produce byte-identical digests, and loaded
 campaigns resume from the content-addressed result cache.
 """
@@ -18,11 +18,11 @@ from repro.stacks import StackSpec, StackTimers, resolve_spec
 from repro.harness.cache import ResultCache, task_key
 from repro.harness.digest import run_digest
 from repro.harness.experiments import build_and_converge
-from repro.harness.parallel import FanoutReport, execute_tasks
-from repro.harness.supervisor import (
+from repro.harness.parallel import (
+    CampaignReport,
     RetryPolicy,
-    SupervisorReport,
-    supervise_tasks,
+    TaskKind,
+    execute_tasks,
 )
 from repro.workload.engine import FluidWorkload, WorkloadReport
 from repro.workload.spec import WorkloadSpec, resolve_workload
@@ -77,7 +77,7 @@ def run_workload(
 
 
 def run_workload_task(spec: WorkloadRunSpec) -> WorkloadOutcome:
-    """The parallel worker (top-level so the process pool can pickle it)."""
+    """The campaign worker (top-level so worker processes can run it)."""
     report, world = run_workload(spec.workload, spec.params, spec.stack,
                                  spec.seed, return_world=True)
     digest = run_digest(world.trace, report.to_payload())
@@ -132,8 +132,14 @@ def workload_suite_specs(
 
 
 def workload_task_label(spec: WorkloadRunSpec) -> str:
-    """Human task label for supervisor records and quarantine tables."""
+    """Human task label for task records and quarantine tables."""
     return f"{spec.stack.name}/{spec.workload.name} seed={spec.seed}"
+
+
+WORKLOAD_RUN = TaskKind(
+    worker=run_workload_task, key=workload_task_key,
+    encode=encode_workload_outcome, decode=decode_workload_outcome,
+    label=workload_task_label)
 
 
 def run_workload_suite(
@@ -144,25 +150,12 @@ def run_workload_suite(
     timers: Optional[StackTimers] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    report: Optional[FanoutReport] = None,
     policy: Optional[RetryPolicy] = None,
-    supervisor: Optional[SupervisorReport] = None,
+    report: Optional[CampaignReport] = None,
 ) -> list[Optional[WorkloadOutcome]]:
     """Run every workload on every stack, fanned out over ``jobs``
     workers and replayed from ``cache`` when given.  With a ``policy``
-    (or ``supervisor`` report) the suite runs under the fault-tolerant
-    supervisor: quarantined runs come back ``None``."""
+    quarantined runs come back ``None``."""
     specs = workload_suite_specs(params, workloads, stacks, seed, timers)
-    if policy is not None or supervisor is not None:
-        return supervise_tasks(
-            specs, run_workload_task, jobs=jobs, policy=policy,
-            cache=cache, key_fn=workload_task_key,
-            encode=encode_workload_outcome,
-            decode=decode_workload_outcome, label_fn=workload_task_label,
-            report=supervisor,
-        )
-    return execute_tasks(
-        specs, run_workload_task, jobs=jobs, cache=cache,
-        key_fn=workload_task_key, encode=encode_workload_outcome,
-        decode=decode_workload_outcome, report=report,
-    )
+    return execute_tasks(specs, WORKLOAD_RUN, jobs=jobs, cache=cache,
+                         policy=policy, report=report)

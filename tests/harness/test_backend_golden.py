@@ -19,6 +19,7 @@ from repro.harness.experiments import (
 )
 from repro.harness.parallel import assert_fanout_deterministic
 from repro.scenario import (
+    SCENARIO_RUN,
     ScenarioRunSpec,
     get_scenario,
     run_scenario_task,
@@ -92,7 +93,7 @@ def test_scenario_library_serial_vs_pool_on_wheel():
         ["mtp"],
     )
     digests = assert_fanout_deterministic(
-        specs, run_scenario_task, lambda o: o.digest, jobs=2)
+        specs, SCENARIO_RUN, lambda o: o.digest, jobs=2)
     assert len(digests) == len(specs)
 
 
@@ -106,7 +107,7 @@ def test_supervised_suite_matches_serial_across_backends(monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, backend)
         serial = [run_scenario_task(s).digest for s in scenario_suite_specs(
             two_pod_params(), scenarios, ["mtp"])]
-        from repro.harness.supervisor import RetryPolicy
+        from repro.harness.parallel import RetryPolicy
         supervised = run_scenario_suite(
             two_pod_params(), scenarios, ["mtp"], jobs=2,
             policy=RetryPolicy(max_attempts=1))

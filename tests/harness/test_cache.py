@@ -28,8 +28,9 @@ from repro.harness.experiments import (
     decode_experiment_outcome,
     encode_experiment_outcome,
 )
-from repro.harness.parallel import FanoutReport, execute_tasks
+from repro.harness.parallel import CampaignReport, TaskKind, execute_tasks
 from repro.harness.sweep import (
+    SWEEP_POINT,
     FailurePoint,
     decode_sweep_outcome,
     encode_sweep_outcome,
@@ -195,20 +196,14 @@ def test_stale_schema_entry_recomputed(tmp_path):
     path.write_text(json.dumps(
         {"schema": CACHE_SCHEMA - 1, "key": key,
          "payload": {"stale": "v1-era entry"}}))
-    report = FanoutReport()
-    out = execute_tasks([spec], run_sweep_point, cache=cache,
-                        key_fn=sweep_point_key,
-                        encode=encode_sweep_outcome,
-                        decode=decode_sweep_outcome, report=report)
+    report = CampaignReport()
+    out = execute_tasks([spec], SWEEP_POINT, cache=cache, report=report)
     assert (report.executed, report.cached) == (1, 0)
     assert cache.dropped == 1
     assert out[0].result.ok
     # the recomputed entry replaced the stale one and now replays
-    replay = FanoutReport()
-    out2 = execute_tasks([spec], run_sweep_point, cache=cache,
-                         key_fn=sweep_point_key,
-                         encode=encode_sweep_outcome,
-                         decode=decode_sweep_outcome, report=replay)
+    replay = CampaignReport()
+    out2 = execute_tasks([spec], SWEEP_POINT, cache=cache, report=replay)
     assert (replay.executed, replay.cached) == (0, 1)
     assert out2[0].digest == out[0].digest
 
@@ -253,17 +248,11 @@ def test_experiment_outcome_roundtrip():
 def test_execute_tasks_replays_from_cache(tmp_path):
     cache = ResultCache(tmp_path)
     specs = sweep_specs(two_pod_params(), StackKind.MTP)[:2]
-    first = FanoutReport()
-    out1 = execute_tasks(specs, run_sweep_point, cache=cache,
-                         key_fn=sweep_point_key,
-                         encode=encode_sweep_outcome,
-                         decode=decode_sweep_outcome, report=first)
+    first = CampaignReport()
+    out1 = execute_tasks(specs, SWEEP_POINT, cache=cache, report=first)
     assert (first.executed, first.cached) == (2, 0)
-    second = FanoutReport()
-    out2 = execute_tasks(specs, run_sweep_point, cache=cache,
-                         key_fn=sweep_point_key,
-                         encode=encode_sweep_outcome,
-                         decode=decode_sweep_outcome, report=second)
+    second = CampaignReport()
+    out2 = execute_tasks(specs, SWEEP_POINT, cache=cache, report=second)
     assert (second.executed, second.cached) == (0, 2)
     assert [o.digest for o in out1] == [o.digest for o in out2]
     assert [o.result for o in out1] == [o.result for o in out2]
@@ -271,4 +260,5 @@ def test_execute_tasks_replays_from_cache(tmp_path):
 
 def test_execute_tasks_requires_full_codec(tmp_path):
     with pytest.raises(ValueError):
-        execute_tasks([], run_sweep_point, cache=ResultCache(tmp_path))
+        execute_tasks([], TaskKind(run_sweep_point),
+                      cache=ResultCache(tmp_path))

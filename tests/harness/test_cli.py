@@ -204,13 +204,49 @@ def test_campaign_epilogue_exit_codes(capsys):
     import argparse
 
     from repro.cli import EXIT_INFRA, EXIT_OK, _campaign_epilogue
-    from repro.harness.parallel import FanoutReport
-    from repro.harness.supervisor import TaskRecord
+    from repro.harness.parallel import CampaignReport, TaskRecord
 
     args = argparse.Namespace(resume=False)
-    report = FanoutReport()
-    assert _campaign_epilogue(args, report, []) == EXIT_OK
+    report = CampaignReport()
+    assert _campaign_epilogue(args, report) == EXIT_OK
     bad = TaskRecord(index=0, key="k", label="t", state="quarantined")
     bad.quarantine_reason = "exhausted 3 attempt(s)"
-    assert _campaign_epilogue(args, report, [bad]) == EXIT_INFRA
+    report.records.append(bad)
+    assert _campaign_epilogue(args, report) == EXIT_INFRA
     assert "infra failure" in capsys.readouterr().err
+
+
+def test_oversubscription_fallback_is_printed(capsys, monkeypatch):
+    """--jobs 2 on a 1-core host runs one task at a time; the summary
+    line must say so instead of a bare "(1 jobs)"."""
+    monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 1)
+    out = run_cli(capsys, "scenario", "run", "tc2", "tc4", "--stack", "mtp",
+                  "--jobs", "2", "--no-cache")
+    assert "(1 jobs)" in out
+    assert "2 jobs would oversubscribe 1 core(s)" in out
+
+
+@pytest.mark.parametrize("flags,attempts", [
+    ([], None),
+    (["--supervise"], 3),
+    (["--task-deadline", "30"], 3),
+    (["--max-attempts", "1"], 1),
+])
+def test_max_attempts_implies_supervision(capsys, monkeypatch, flags,
+                                          attempts):
+    """Any supervision flag turns supervision on; --max-attempts alone
+    used to be silently ignored."""
+    import repro.scenario.runner as runner
+
+    seen = []
+    real = runner.execute_tasks
+
+    def spy(specs, kind, **kwargs):
+        seen.append(kwargs["policy"])
+        return real(specs, kind, **kwargs)
+
+    monkeypatch.setattr(runner, "execute_tasks", spy)
+    run_cli(capsys, "scenario", "run", "tc2", "--stack", "mtp",
+            "--no-cache", *flags)
+    [policy] = seen
+    assert (policy.max_attempts if policy is not None else None) == attempts

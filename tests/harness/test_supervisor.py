@@ -1,6 +1,6 @@
-"""Fault-injection tests for the run supervisor.
+"""Fault-injection tests for supervised execution (a RetryPolicy).
 
-Every hazard the supervisor exists for is injected deliberately: a task
+Every hazard supervision exists for is injected deliberately: a task
 that raises, a task that raises the *same* way twice (deterministic bug
 — quarantined without a third attempt), a task that sleeps past its
 deadline (killed by the watchdog, not awaited), a worker that dies
@@ -20,9 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.harness.cache import ResultCache
 from repro.harness.convergence import QuiescenceTimeout, converge_from_cold
-from repro.harness.parallel import FanoutInterrupted, execute_tasks
-from repro.harness.report import quarantine_rows, render_quarantine_table
-from repro.harness.supervisor import (
+from repro.harness.parallel import (
     CACHED,
     CRASH,
     DONE,
@@ -31,13 +29,16 @@ from repro.harness.supervisor import (
     QUARANTINED,
     TIMEOUT,
     Attempt,
+    CampaignInterrupted,
+    CampaignReport,
+    RemoteTraceback,
     RetryPolicy,
-    SupervisorInterrupted,
-    SupervisorReport,
+    TaskKind,
     TaskRecord,
     backoff_schedule,
-    supervise_tasks,
+    execute_tasks,
 )
+from repro.harness.report import quarantine_rows, render_quarantine_table
 from repro.net.world import World
 
 
@@ -84,6 +85,14 @@ def interrupting_worker(spec):
     return f"done-{spec}"
 
 
+def pid_worker(spec):
+    """The pid of the process that ran the task; "bad" fails and names
+    its own pid, so the test can see which process it died in."""
+    if spec == "bad":
+        raise ValueError(f"injected failure in pid {os.getpid()}")
+    return os.getpid()
+
+
 def _key(spec):
     return f"key-{spec}"
 
@@ -96,13 +105,20 @@ def _decode(payload):
     return payload["value"]
 
 
+def _kind(worker):
+    return TaskKind(worker, key=_key, encode=_encode, decode=_decode)
+
+
+SUPERVISED = RetryPolicy()
+
+
 # ----------------------------------------------------------------------
 # the happy path and the state machine
 # ----------------------------------------------------------------------
 def test_all_ok_tasks_done_in_order():
-    report = SupervisorReport()
-    results = supervise_tasks(["a", "b", "c"], ok_worker, jobs=2,
-                              report=report)
+    report = CampaignReport()
+    results = execute_tasks(["a", "b", "c"], _kind(ok_worker), jobs=2,
+                            policy=SUPERVISED, report=report)
     assert results == ["done-a", "done-b", "done-c"]
     assert [r.state for r in report.records] == [DONE] * 3
     assert all(len(r.attempts) == 1 and r.attempts[0].outcome == OK
@@ -121,11 +137,11 @@ def test_retry_policy_validation():
 # injected faults
 # ----------------------------------------------------------------------
 def test_deterministic_failure_quarantined_without_third_attempt():
-    report = SupervisorReport()
+    report = CampaignReport()
     policy = RetryPolicy(max_attempts=5, backoff_base_s=0.01,
                          backoff_cap_s=0.02)
-    results = supervise_tasks(["a", "bad", "c"], boom_worker,
-                              policy=policy, report=report)
+    results = execute_tasks(["a", "bad", "c"], _kind(boom_worker),
+                            policy=policy, report=report)
     # the grid degrades, it does not abort
     assert results == ["done-a", None, "done-c"]
     bad = report.records[1]
@@ -140,12 +156,12 @@ def test_deterministic_failure_quarantined_without_third_attempt():
 
 
 def test_hung_worker_killed_by_watchdog():
-    report = SupervisorReport()
+    report = CampaignReport()
     policy = RetryPolicy(deadline_s=0.3, max_attempts=2,
                          backoff_base_s=0.01, backoff_cap_s=0.02)
     t0 = time.monotonic()
-    results = supervise_tasks(["a", "hang"], hang_worker, jobs=2,
-                              policy=policy, report=report)
+    results = execute_tasks(["a", "hang"], _kind(hang_worker), jobs=2,
+                            policy=policy, report=report)
     wall = time.monotonic() - t0
     assert results == ["done-a", None]
     hung = report.records[1]
@@ -158,11 +174,11 @@ def test_hung_worker_killed_by_watchdog():
 
 
 def test_dead_worker_recorded_as_crash():
-    report = SupervisorReport()
+    report = CampaignReport()
     policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
                          backoff_cap_s=0.02)
-    results = supervise_tasks(["crash", "b"], crash_worker,
-                              policy=policy, report=report)
+    results = execute_tasks(["crash", "b"], _kind(crash_worker),
+                            policy=policy, report=report)
     assert results == [None, "done-b"]
     dead = report.records[0]
     assert dead.state == QUARANTINED
@@ -172,12 +188,12 @@ def test_dead_worker_recorded_as_crash():
 
 
 def test_flaky_task_retries_then_succeeds(tmp_path):
-    report = SupervisorReport()
+    report = CampaignReport()
     policy = RetryPolicy(max_attempts=3, backoff_base_s=0.01,
                          backoff_cap_s=0.02)
     marker = str(tmp_path / "attempted")
-    results = supervise_tasks([(marker, "x")], flaky_worker,
-                              policy=policy, report=report)
+    results = execute_tasks([(marker, "x")], _kind(flaky_worker),
+                            policy=policy, report=report)
     assert results == ["done-x"]
     record = report.records[0]
     assert record.state == DONE
@@ -186,58 +202,87 @@ def test_flaky_task_retries_then_succeeds(tmp_path):
     assert report.retried == [record]
 
 
+def test_failed_worker_is_respawned_not_reused():
+    """Workers persist across tasks, but the process of a failed attempt
+    is killed: no later task shares it."""
+    report = CampaignReport()
+    results = execute_tasks(["bad", "a", "b"], _kind(pid_worker),
+                            policy=RetryPolicy(max_attempts=1),
+                            report=report)
+    bad = report.records[0]
+    assert results[0] is None and bad.state == QUARANTINED
+    failed_pid = int(bad.attempts[0].detail.rsplit(" ", 1)[1])
+    assert results[1] == results[2]  # one persistent worker served both
+    assert failed_pid not in results[1:]
+    assert os.getpid() not in results
+
+
+def test_unsupervised_worker_error_keeps_its_type(monkeypatch):
+    """Without a policy a task's exception reaches the caller as itself,
+    with the worker's traceback as its cause."""
+    monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 8)
+    with pytest.raises(ValueError, match="injected deterministic") as info:
+        execute_tasks(["a", "bad", "c"], _kind(boom_worker), jobs=2)
+    assert isinstance(info.value.__cause__, RemoteTraceback)
+    assert "boom_worker" in str(info.value.__cause__)
+
+
+def test_unsupervised_worker_crash_raises(monkeypatch):
+    monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 8)
+    with pytest.raises(RuntimeError, match="WorkerCrash"):
+        execute_tasks(["crash", "b"], _kind(crash_worker), jobs=2)
+
+
 # ----------------------------------------------------------------------
 # checkpoint / resume
 # ----------------------------------------------------------------------
 def test_completed_tasks_checkpoint_and_replay(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    supervise_tasks(["a", "b"], ok_worker, cache=cache, key_fn=_key,
-                    encode=_encode, decode=_decode)
-    assert cache.checkpointed([_key(s) for s in ("a", "b", "c", "d")]) == 2
+    execute_tasks(["a", "b"], _kind(ok_worker), cache=cache,
+                  policy=SUPERVISED)
+    assert [_key(s) in cache for s in ("a", "b", "c")] == [True, True, False]
 
-    report = SupervisorReport()
-    results = supervise_tasks(["a", "b", "c", "d"], ok_worker, cache=cache,
-                              key_fn=_key, encode=_encode, decode=_decode,
-                              report=report)
+    report = CampaignReport()
+    results = execute_tasks(["a", "b", "c", "d"], _kind(ok_worker),
+                            cache=cache, policy=SUPERVISED, report=report)
     assert results == ["done-a", "done-b", "done-c", "done-d"]
     assert [r.state for r in report.records] == [CACHED, CACHED, DONE, DONE]
-    assert report.fanout.cached == 2 and report.fanout.executed == 2
+    assert report.cached == 2 and report.executed == 2
 
 
 def test_quarantined_tasks_are_not_checkpointed(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
                          backoff_cap_s=0.02)
-    supervise_tasks(["a", "bad"], boom_worker, policy=policy, cache=cache,
-                    key_fn=_key, encode=_encode, decode=_decode)
+    execute_tasks(["a", "bad"], _kind(boom_worker), policy=policy,
+                  cache=cache)
     assert _key("a") in cache
     assert _key("bad") not in cache  # a rerun must attempt it again
 
 
 def test_cache_requires_codec():
     with pytest.raises(ValueError):
-        supervise_tasks(["a"], ok_worker, cache=ResultCache(), key_fn=_key)
+        execute_tasks(["a"], TaskKind(ok_worker, key=_key),
+                      cache=ResultCache(), policy=SUPERVISED)
 
 
 def test_interrupts_are_keyboard_interrupts():
     # `except KeyboardInterrupt` in callers keeps catching Ctrl-C
-    assert issubclass(SupervisorInterrupted, KeyboardInterrupt)
-    assert issubclass(FanoutInterrupted, KeyboardInterrupt)
+    assert issubclass(CampaignInterrupted, KeyboardInterrupt)
 
 
 def test_execute_tasks_salvages_on_interrupt(tmp_path):
     """A Ctrl-C mid-grid checkpoints everything already finished and
     reports the salvage accounting on the exception."""
     cache = ResultCache(tmp_path / "cache")
-    with pytest.raises(FanoutInterrupted) as exc_info:
-        execute_tasks(["a", "stop", "c"], interrupting_worker, cache=cache,
-                      key_fn=_key, encode=_encode, decode=_decode)
+    with pytest.raises(CampaignInterrupted) as exc_info:
+        execute_tasks(["a", "stop", "c"], _kind(interrupting_worker),
+                      cache=cache)
     exc = exc_info.value
     assert (exc.done, exc.total, exc.salvaged) == (1, 3, 1)
     assert _key("a") in cache
     # the resumed run replays the salvaged task and finishes the rest
-    results = execute_tasks(["a", "b", "c"], ok_worker, cache=cache,
-                            key_fn=_key, encode=_encode, decode=_decode)
+    results = execute_tasks(["a", "b", "c"], _kind(ok_worker), cache=cache)
     assert results == ["done-a", "done-b", "done-c"]
 
 
@@ -318,15 +363,16 @@ def test_quarantine_table_lists_only_quarantined_tasks():
 
 
 def test_supervisor_clamps_oversubscribed_concurrency(monkeypatch):
-    """jobs=2 on a 1-core host: concurrency clamps to 1 (children still
-    spawn per attempt so the watchdog keeps working) and the report says
+    """jobs=2 on a 1-core host: concurrency clamps to 1 (still in a
+    worker process, so the watchdog keeps working) and the report says
     why."""
-    monkeypatch.setattr("repro.harness.supervisor.os.cpu_count", lambda: 1)
-    report = SupervisorReport()
-    results = supervise_tasks(["a", "b"], ok_worker, jobs=2,
-                              policy=RetryPolicy(max_attempts=1),
-                              report=report)
-    assert results == ["done-a", "done-b"]
-    assert report.fanout.jobs == 1
-    assert any("oversubscribe" in note for note in report.fanout.notes)
+    monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 1)
+    report = CampaignReport()
+    results = execute_tasks(["a", "b"], _kind(pid_worker), jobs=2,
+                            policy=RetryPolicy(max_attempts=1),
+                            report=report)
+    assert len(set(results)) == 1 and os.getpid() not in results
+    assert report.jobs == 1
+    assert any("oversubscribe" in note for note in report.notes)
+    assert "oversubscribe" in report.describe()
     assert all(r.state == DONE for r in report.records)

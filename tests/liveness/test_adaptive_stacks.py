@@ -16,7 +16,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.harness.chaos import ChaosPointSpec, chaos_specs, run_chaos_point
+from repro.harness.chaos import (
+    CHAOS_POINT,
+    ChaosPointSpec,
+    chaos_specs,
+    run_chaos_point,
+)
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.harness.parallel import assert_fanout_deterministic
@@ -135,7 +140,7 @@ def test_adaptive_chaos_digests_serial_vs_parallel():
                         ["mtp-adaptive", "bgp-bfd-damped"],
                         rates=(0.0, 0.1), window_ms=1500,
                         traffic_count=100)
-    digests = assert_fanout_deterministic(specs, run_chaos_point,
+    digests = assert_fanout_deterministic(specs, CHAOS_POINT,
                                           lambda o: o.digest, jobs=2)
     assert len(set(digests)) == len(specs)
 

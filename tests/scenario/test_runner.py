@@ -7,8 +7,9 @@ import pytest
 
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import run_failure_experiment
-from repro.harness.parallel import FanoutReport, assert_fanout_deterministic
+from repro.harness.parallel import CampaignReport, assert_fanout_deterministic
 from repro.scenario import (
+    SCENARIO_RUN,
     ScenarioRunSpec,
     get_scenario,
     run_scenario,
@@ -84,7 +85,7 @@ def test_second_suite_run_is_served_from_cache(tmp_path):
     kwargs = dict(params=two_pod_params(),
                   scenarios=[get_scenario("tc1"), get_scenario("tc4")],
                   stacks=["mtp"], seed=0, cache=cache)
-    cold_report, warm_report = FanoutReport(), FanoutReport()
+    cold_report, warm_report = CampaignReport(), CampaignReport()
     cold = run_scenario_suite(report=cold_report, **kwargs)
     warm = run_scenario_suite(report=warm_report, **kwargs)
     assert cold_report.executed == 2 and cold_report.cached == 0
@@ -98,5 +99,5 @@ def test_serial_and_parallel_digests_are_identical():
         two_pod_params(), [get_scenario("tc2"), get_scenario("tc4")],
         ["mtp", "bgp-bfd"], seed=0)
     digests = assert_fanout_deterministic(
-        specs, run_scenario_task, lambda o: o.digest, jobs=2)
+        specs, SCENARIO_RUN, lambda o: o.digest, jobs=2)
     assert len(digests) == len(specs)

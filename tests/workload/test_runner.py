@@ -6,8 +6,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import FanoutReport
-from repro.harness.supervisor import RetryPolicy, SupervisorReport
+from repro.harness.parallel import CampaignReport, RetryPolicy
 from repro.harness.sweep import (
     single_failure_sweep_outcomes,
     sweep_point_key,
@@ -45,11 +44,11 @@ def test_suite_serial_equals_jobs2():
 
 def test_suite_replays_from_cache(tmp_path):
     cache = ResultCache(tmp_path)
-    first = FanoutReport()
+    first = CampaignReport()
     out1 = run_workload_suite(two_pod_params(), [TINY], ["mtp"],
                               cache=cache, report=first)
     assert (first.executed, first.cached) == (1, 0)
-    second = FanoutReport()
+    second = CampaignReport()
     out2 = run_workload_suite(two_pod_params(), [TINY], ["mtp"],
                               cache=cache, report=second)
     assert (second.executed, second.cached) == (0, 1)
@@ -80,11 +79,10 @@ def test_loaded_sweep_serial_equals_jobs2_supervised():
     points = [s.point for s in points]
     runs = []
     for jobs in (1, 2):
-        sup = SupervisorReport()
         outcomes = single_failure_sweep_outcomes(
             two_pod_params(), "mtp", points=points, workload=TINY,
             jobs=jobs, policy=RetryPolicy(max_attempts=2, seed=0),
-            supervisor=sup)
+            report=CampaignReport())
         assert all(o is not None for o in outcomes)
         runs.append([o.digest for o in outcomes])
     assert runs[0] == runs[1]
