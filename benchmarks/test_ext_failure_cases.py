@@ -9,8 +9,6 @@ detect locally and immediately, so even plain BGP converges fast.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.units import MILLISECOND, SECOND
 from repro.topology.clos import two_pod_params
 from repro.harness.convergence import ConvergenceMonitor

@@ -10,8 +10,6 @@ dominated) while BGP's control overhead keeps growing with fabric size.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.units import MILLISECOND
 from repro.topology.clos import ClosParams
 from repro.harness.experiments import (

@@ -9,8 +9,6 @@ entirely (Fig. 10 discussion).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.units import SECOND
 from repro.topology.clos import two_pod_params
 from repro.harness.experiments import StackKind, run_keepalive_experiment

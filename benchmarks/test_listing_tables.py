@@ -9,9 +9,7 @@ will be noticed" for BGP.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.topology.clos import ClosParams, four_pod_params, two_pod_params
+from repro.topology.clos import four_pod_params, two_pod_params
 from repro.harness.experiments import StackKind, run_table_size_experiment
 
 from conftest import emit

@@ -10,6 +10,7 @@ simulated seconds).
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -19,11 +20,16 @@ import bench_engine
 import bench_workload
 
 from repro.sim.engine import WHEEL_BACKEND, Simulator
-from repro.sim.units import SECOND
+from repro.bgp import encoding as bgp_encoding
+from repro.routing.table import NextHop, Route, RoutingTable
+from repro.stack.addresses import Ipv4Address, Ipv4Network
+from repro.stacks import resolve_spec
 from repro.topology.clos import ClosParams
 from repro.harness.experiments import (
+    ExperimentSpec,
     StackKind,
     build_and_converge,
+    run_experiment_task,
     run_failure_experiment,
 )
 
@@ -140,6 +146,60 @@ def test_32pod_tc1_within_tier1_budget():
     wall = time.perf_counter() - t0
     assert result.convergence_us > 0
     assert wall < 30.0, f"32-PoD TC1 took {wall:.1f}s (budget 30s)"
+
+
+# ----------------------------------------------------------------------
+# Operation-count guards: deterministic on any host, unlike timings.
+# ----------------------------------------------------------------------
+def test_live_bgp_failure_run_never_encodes(monkeypatch):
+    """Sizes are analytic, stored when a message or frame is built: a
+    whole BGP run (cold convergence, TC1, re-convergence) encodes no
+    message.  The count is taken at every module attribute that holds
+    the encoder, since ``from ... import encode_message`` copies it."""
+    encoder = bgp_encoding.encode_message
+    calls = [0]
+
+    def counted(message):
+        calls[0] += 1
+        return encoder(message)
+
+    sites = [(module, name) for module in list(sys.modules.values())
+             for name, value in list(vars(module).items())
+             if value is encoder]
+    assert sites
+    for module, name in sites:
+        monkeypatch.setattr(module, name, counted)
+    outcome = run_experiment_task(ExperimentSpec(
+        params=ClosParams(num_pods=4), stack=resolve_spec("bgp-bfd"),
+        case_name="TC1", seed=0))
+    assert outcome.result.update_count > 0
+    assert calls[0] == 0, f"{calls[0]} BGP encodes during a simulation"
+
+
+def test_live_fib_lookup_builds_no_prefix(monkeypatch):
+    """Longest-prefix match probes integer-keyed maps: 1,000 lookups
+    on a populated table construct no ``Ipv4Network``."""
+    table = RoutingTable()
+    table.install(Route(Ipv4Network.parse("0.0.0.0/0"), (NextHop("up"),)))
+    for rack in range(64):
+        base = (10 << 24) | (rack << 8)
+        table.install(Route(Ipv4Network(Ipv4Address(base), 24),
+                            (NextHop(f"r{rack}"),)))
+        table.install(Route(Ipv4Network(Ipv4Address(base | 1), 32),
+                            (NextHop(f"h{rack}"),)))
+    built = [0]
+    post_init = Ipv4Network.__post_init__
+
+    def counted(network):
+        built[0] += 1
+        post_init(network)
+
+    monkeypatch.setattr(Ipv4Network, "__post_init__", counted)
+    # racks 64..79 fall through to the default route
+    found = [table.lookup(Ipv4Address((10 << 24) | ((i % 80) << 8) | (i % 3)))
+             for i in range(1000)]
+    assert {route.prefix.prefix_len for route in found} == {0, 24, 32}
+    assert built[0] == 0, f"{built[0]} prefixes built by 1,000 lookups"
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ otherwise up via a hashed choice among alive, unmarked upstream ports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.sim.timers import PeriodicTimer, Timer

@@ -7,7 +7,7 @@ time is the convergence-calculation start (section VI.B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.impairment import (

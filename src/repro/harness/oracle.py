@@ -16,7 +16,7 @@ constructive proof of reachability.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import networkx as nx

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.sim.units import MILLISECOND, SECOND
+from repro.sim.units import MILLISECOND
 from repro.stack.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
 from repro.stack.arp import ArpMessage, ArpOp
 from repro.stack.ethernet import (

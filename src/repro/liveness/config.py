@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
-from repro.sim.units import MILLISECOND, SECOND
+from repro.sim.units import SECOND
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,11 @@ from repro.stack.ethernet import (
     EthernetFrame,
 )
 from repro.stack.icmp import IcmpMessage
-from repro.stack.ipv4 import Ipv4Packet, PROTO_TCP, PROTO_UDP
-from repro.stack.payload import RawBytes
+from repro.stack.ipv4 import Ipv4Packet
 from repro.stack.tcp_segment import TcpFlags, TcpSegment
 from repro.stack.udp import UdpDatagram
-from repro.bfd.messages import BFD_PORT, BfdControlPacket
+from repro.bfd.messages import BfdControlPacket
 from repro.bgp.messages import (
-    BGP_PORT,
     BgpKeepalive,
     BgpMessage,
     BgpNotification,
@@ -47,7 +45,7 @@ from repro.core.messages import (
     MtpUnreachableDefault,
     MtpUpdateLost,
 )
-from repro.net.capture import Capture, CaptureRecord
+from repro.net.capture import CaptureRecord
 
 _ETHERTYPE_NAMES = {
     ETHERTYPE_IPV4: "IPv4",

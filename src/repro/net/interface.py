@@ -8,7 +8,7 @@ paper's test cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.stack.addresses import Ipv4Address, Ipv4Network, MacAddress

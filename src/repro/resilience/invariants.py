@@ -27,7 +27,6 @@ that never see an anomaly keep byte-identical digests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.harness.oracle import alive_fabric_graph, _down_closure, _up_closure
 

@@ -9,10 +9,10 @@ internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from repro.stack.addresses import Ipv4Address, Ipv4Network
+from repro.stack.addresses import Ipv4Address, Ipv4Network, prefix_mask
 from repro.routing.ecmp import FlowKey, ecmp_hash
 
 
@@ -63,8 +63,11 @@ class RoutingTable:
         self.sim = sim  # optional: timestamps for change tracking
         self.salt = salt
         self._routes: dict[Ipv4Network, Route] = {}
-        # ordered prefix lengths present, longest first, for LPM
-        self._lengths: list[int] = []
+        # the same routes per prefix length, keyed by network address
+        # as an int, so LPM probes ``dst & mask`` without building a
+        # prefix object; ``_probes`` is (mask, map) longest first
+        self._by_length: dict[int, dict[int, Route]] = {}
+        self._probes: list[tuple[int, dict[int, Route]]] = []
         self.change_count = 0
         self.last_change_time: Optional[int] = None
         # optional gray-failure depreference hook (DESIGN §14): a
@@ -79,8 +82,19 @@ class RoutingTable:
         if self.sim is not None:
             self.last_change_time = self.sim.now
 
-    def _refresh_lengths(self) -> None:
-        self._lengths = sorted({p.prefix_len for p in self._routes}, reverse=True)
+    def _refresh_probes(self) -> None:
+        self._probes = [(prefix_mask(length), self._by_length[length])
+                        for length in sorted(self._by_length, reverse=True)]
+
+    def _forget(self, prefix: Ipv4Network) -> bool:
+        """Drop ``prefix`` from the per-length maps; True if its length
+        has no routes left (the probe list must then be rebuilt)."""
+        by_address = self._by_length[prefix.prefix_len]
+        del by_address[prefix.address.value]
+        if by_address:
+            return False
+        del self._by_length[prefix.prefix_len]
+        return True
 
     # ------------------------------------------------------------------
     def install(self, route: Route) -> None:
@@ -93,15 +107,21 @@ class RoutingTable:
             and existing.metric == route.metric
         ):
             return
-        self._routes[route.prefix] = route
-        self._refresh_lengths()
+        prefix = route.prefix
+        self._routes[prefix] = route
+        by_address = self._by_length.get(prefix.prefix_len)
+        if by_address is None:
+            by_address = self._by_length[prefix.prefix_len] = {}
+            self._refresh_probes()
+        by_address[prefix.address.value] = route
         self._note_change()
 
     def withdraw(self, prefix: Ipv4Network) -> bool:
         """Remove the route for ``prefix``; True if something was removed."""
         if prefix in self._routes:
             del self._routes[prefix]
-            self._refresh_lengths()
+            if self._forget(prefix):
+                self._refresh_probes()
             self._note_change()
             return True
         return False
@@ -112,10 +132,13 @@ class RoutingTable:
         change counters stay monotonic and holders keep their reference).
         Returns the withdrawn prefixes."""
         doomed = [p for p, r in self._routes.items() if r.proto == proto]
+        emptied = False
         for prefix in doomed:
             del self._routes[prefix]
+            emptied |= self._forget(prefix)
+        if emptied:
+            self._refresh_probes()
         if doomed:
-            self._refresh_lengths()
             self._note_change()
         return doomed
 
@@ -134,9 +157,9 @@ class RoutingTable:
     # ------------------------------------------------------------------
     def lookup(self, dst: Ipv4Address) -> Optional[Route]:
         """Longest-prefix match."""
-        for length in self._lengths:
-            candidate = Ipv4Network.of(dst, length)
-            route = self._routes.get(candidate)
+        value = dst.value
+        for mask, by_address in self._probes:
+            route = by_address.get(value & mask)
             if route is not None:
                 return route
         return None

@@ -97,7 +97,8 @@ class Ipv4Address:
         return Ipv4Address(self.value + offset)
 
 
-def _mask(prefix_len: int) -> int:
+def prefix_mask(prefix_len: int) -> int:
+    """The 32-bit netmask of a /``prefix_len`` prefix."""
     if not 0 <= prefix_len <= 32:
         raise ValueError(f"bad prefix length {prefix_len}")
     return ((1 << prefix_len) - 1) << (32 - prefix_len) if prefix_len else 0
@@ -112,7 +113,7 @@ class Ipv4Network:
     prefix_len: int
 
     def __post_init__(self) -> None:
-        mask = _mask(self.prefix_len)
+        mask = prefix_mask(self.prefix_len)
         if self.address.value & ~mask & 0xFFFFFFFF:
             raise ValueError(
                 f"{self.address}/{self.prefix_len} has host bits set"
@@ -130,12 +131,12 @@ class Ipv4Network:
         """Network containing ``address`` with host bits cleared."""
         if isinstance(address, str):
             address = Ipv4Address.parse(address)
-        mask = _mask(prefix_len)
+        mask = prefix_mask(prefix_len)
         return cls(Ipv4Address(address.value & mask), prefix_len)
 
     @property
     def mask(self) -> int:
-        return _mask(self.prefix_len)
+        return prefix_mask(self.prefix_len)
 
     def contains(self, address: Ipv4Address) -> bool:
         return (address.value & self.mask) == self.address.value

@@ -10,7 +10,7 @@ timestamps) and are sized separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Flag, auto
 
 from repro.stack.payload import Payload, RawBytes
@@ -37,6 +37,10 @@ class TcpSegment:
     flags: TcpFlags
     payload: Payload = RawBytes(0)
     window: int = 65535
+    # sized once at construction (payloads are immutable)
+    data_len: int = field(init=False, compare=False, repr=False)
+    seq_space: int = field(init=False, compare=False, repr=False)
+    wire_size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for port in (self.src_port, self.dst_port):
@@ -44,32 +48,19 @@ class TcpSegment:
                 raise ValueError(f"bad TCP port {port}")
         if self.seq < 0 or self.ack < 0:
             raise ValueError("negative sequence numbers")
+        flags = self.flags
+        syn = TcpFlags.SYN in flags
+        data_len = self.payload.wire_size
+        header = TCP_SYN_HEADER_BYTES if syn else TCP_HEADER_BYTES
+        object.__setattr__(self, "data_len", data_len)
+        # SYN and FIN each consume one sequence number
+        object.__setattr__(self, "seq_space",
+                           data_len + syn + (TcpFlags.FIN in flags))
+        object.__setattr__(self, "wire_size", header + data_len)
 
     @property
     def header_size(self) -> int:
-        return (
-            TCP_SYN_HEADER_BYTES
-            if TcpFlags.SYN in self.flags
-            else TCP_HEADER_BYTES
-        )
-
-    @property
-    def wire_size(self) -> int:
-        return self.header_size + self.payload.wire_size
-
-    @property
-    def data_len(self) -> int:
-        return self.payload.wire_size
-
-    @property
-    def seq_space(self) -> int:
-        """Sequence-space consumed: data bytes plus 1 for SYN and FIN."""
-        length = self.data_len
-        if TcpFlags.SYN in self.flags:
-            length += 1
-        if TcpFlags.FIN in self.flags:
-            length += 1
-        return length
+        return self.wire_size - self.data_len
 
     def __str__(self) -> str:
         names = [f.name for f in TcpFlags if f is not TcpFlags.NONE and f in self.flags]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable, Optional, Union
+from typing import BinaryIO, Optional, Union
 
 from repro.net.capture import Capture, CaptureRecord, Direction
 from repro.wire.codec import encode_frame

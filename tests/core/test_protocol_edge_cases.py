@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.convergence import converge_from_cold
 from repro.harness.deploy import deploy_mtp
 from repro.harness.failures import FailureInjector

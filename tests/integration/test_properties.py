@@ -8,10 +8,8 @@ protocols deliver between any pair of racks.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.vid import Vid
 from repro.harness.convergence import converge_from_cold
 from repro.harness.deploy import deploy_mtp
 from repro.harness.experiments import StackKind, build_and_converge

@@ -7,8 +7,6 @@ timers must hold every session/neighbor up indefinitely.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bgp.config import BgpTimers
 from repro.core.config import MtpTimers
 from repro.harness.experiments import StackKind, StackTimers, build_and_converge
@@ -65,7 +63,6 @@ def test_mtp_jittered_hellos_never_breach_dead_timer():
     world, topo, dep = build_and_converge(two_pod_params(), StackKind.MTP,
                                           seed=43, timers=timers)
     from repro.net.capture import Capture
-    from repro.core.messages import MtpKeepalive
     from repro.stack.ethernet import ETHERTYPE_MTP
 
     link = world.find_link(topo.tors[0][0][0], topo.aggs[0][0][0])

@@ -25,7 +25,7 @@ from repro.harness.chaos import (
 from repro.harness.experiments import build_and_converge
 from repro.harness.failures import FailureInjector
 from repro.harness.parallel import assert_fanout_deterministic
-from repro.liveness import DEFAULT_LIVENESS, LivenessConfig, NeighborMonitor
+from repro.liveness import DEFAULT_LIVENESS, NeighborMonitor
 from repro.net.impairment import ImpairmentProfile
 from repro.scenario.library import get_scenario
 from repro.scenario.runner import run_scenario

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.routing.ecmp import FlowKey, ecmp_hash
 from repro.routing.table import NextHop, Route, RoutingTable
-from repro.stack.addresses import Ipv4Address, Ipv4Network
+from repro.stack.addresses import Ipv4Address, Ipv4Network, prefix_mask
 
 
 def ip(text):
@@ -112,6 +112,69 @@ def test_memory_bytes_scales_with_entries_and_nexthops():
     one = table.memory_bytes()
     table.install(Route(net("10.0.1.0/24"), (NextHop("e1"), NextHop("e2"))))
     assert table.memory_bytes() == one + 8 + 24
+
+
+u32 = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@st.composite
+def overlapping_prefixes(draw):
+    """A few prefixes of /0../32 cut from two or three base addresses, so
+    they nest and the longest match changes as routes come and go."""
+    bases = draw(st.lists(u32, min_size=1, max_size=3))
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        length = draw(st.integers(min_value=0, max_value=32))
+        base = draw(st.sampled_from(bases))
+        pool.append(Ipv4Network(Ipv4Address(base & prefix_mask(length)),
+                                length))
+    return bases, pool
+
+
+lpm_steps = st.lists(st.tuples(
+    st.sampled_from(["install", "withdraw", "flush"]),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from(["bgp", "static"]),
+    st.integers(min_value=0, max_value=1),
+), max_size=30)
+
+
+@given(overlapping_prefixes(), lpm_steps, st.lists(u32, max_size=4))
+def test_lpm_matches_brute_force_longest_match(pool, steps, extra):
+    bases, prefixes = pool
+    probes = [Ipv4Address(v) for v in (*bases, *extra)]
+    probes += [p.address for p in prefixes]
+    table = RoutingTable()
+    model: dict[Ipv4Network, Route] = {}
+    changes = 0
+    for op, index, proto, hop in steps:
+        prefix = prefixes[index % len(prefixes)]
+        if op == "install":
+            route = Route(prefix, (NextHop(f"eth{hop}"),), proto=proto)
+            old = model.get(prefix)
+            if old is None or (old.nexthops, old.proto) != (route.nexthops,
+                                                            route.proto):
+                changes += 1
+                model[prefix] = route
+            table.install(route)
+        elif op == "withdraw":
+            changes += prefix in model
+            assert table.withdraw(prefix) == (model.pop(prefix, None)
+                                              is not None)
+        else:
+            doomed = sorted(p for p, r in model.items() if r.proto == proto)
+            changes += bool(doomed)
+            for p in doomed:
+                del model[p]
+            assert sorted(table.flush_proto(proto)) == doomed
+        assert table.change_count == changes
+        routes = table.routes()
+        assert routes == sorted(model.values(), key=lambda r: r.prefix)
+        for address in probes:
+            matches = [r for r in routes if r.prefix.contains(address)]
+            best = max(matches, key=lambda r: r.prefix.prefix_len,
+                       default=None)
+            assert table.lookup(address) is best
 
 
 class TestEcmpHash:
